@@ -1879,9 +1879,26 @@ let run_fleet ~quick ~out () =
     exit 1
   end
 
+let modes =
+  [ "micro"; "parallel"; "hotpath"; "solver"; "network"; "serve";
+    "multicore"; "fleet" ]
+
+let usage =
+  "usage: bench/main.exe [--quick] [--jobs N] [--markdown PATH] \
+   [--golden PATH] [--{parallel,hotpath,solver,network,serve,multicore,\
+   fleet}-out PATH] [MODE|EXPERIMENT ...]"
+
+(* A bad command line exits 2 before any mode runs. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      prerr_endline usage;
+      exit 2)
+    fmt
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
+  let quick = ref false in
   (* Optional: --markdown <path> writes the whole report as Markdown. *)
   let markdown_path = ref None in
   let parallel_out = ref "BENCH_parallel.json" in
@@ -1892,46 +1909,46 @@ let () =
   let multicore_out = ref "BENCH_multicore.json" in
   let fleet_out = ref "BENCH_fleet.json" in
   let golden_path = ref Experiments.Golden.golden_path in
-  let rec strip = function
-    | [] -> []
-    | "--quick" :: rest -> strip rest
-    | "--markdown" :: path :: rest ->
-      markdown_path := Some path;
-      strip rest
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some j when j >= 1 -> Exec.set_jobs j
-       | Some _ | None ->
-         prerr_endline "bench: --jobs expects a positive integer";
-         exit 2);
-      strip rest
-    | "--parallel-out" :: path :: rest ->
-      parallel_out := path;
-      strip rest
-    | "--hotpath-out" :: path :: rest ->
-      hotpath_out := path;
-      strip rest
-    | "--solver-out" :: path :: rest ->
-      solver_out := path;
-      strip rest
-    | "--network-out" :: path :: rest ->
-      network_out := path;
-      strip rest
-    | "--serve-out" :: path :: rest ->
-      serve_out := path;
-      strip rest
-    | "--multicore-out" :: path :: rest ->
-      multicore_out := path;
-      strip rest
-    | "--fleet-out" :: path :: rest ->
-      fleet_out := path;
-      strip rest
-    | "--golden" :: path :: rest ->
-      golden_path := path;
-      strip rest
-    | arg :: rest -> arg :: strip rest
+  let set r v = r := v in
+  let value_flags =
+    [
+      ("--markdown", fun path -> markdown_path := Some path);
+      ( "--jobs",
+        fun n ->
+          match int_of_string_opt n with
+          | Some j when j >= 1 -> Exec.set_jobs j
+          | Some _ | None -> usage_error "--jobs expects a positive integer" );
+      ("--parallel-out", set parallel_out);
+      ("--hotpath-out", set hotpath_out);
+      ("--solver-out", set solver_out);
+      ("--network-out", set network_out);
+      ("--serve-out", set serve_out);
+      ("--multicore-out", set multicore_out);
+      ("--fleet-out", set fleet_out);
+      ("--golden", set golden_path);
+    ]
   in
-  let args = strip args in
+  let rec parse = function
+    | [] -> []
+    | "--quick" :: rest ->
+      quick := true;
+      parse rest
+    | flag :: rest when List.mem_assoc flag value_flags -> begin
+        match rest with
+        | v :: rest when not (String.starts_with ~prefix:"-" v) ->
+          List.assoc flag value_flags v;
+          parse rest
+        | _ -> usage_error "%s expects a value" flag
+      end
+    | arg :: _ when String.starts_with ~prefix:"-" arg ->
+      usage_error "unknown flag %s" arg
+    | id :: rest ->
+      if not (List.mem id modes || List.mem id Experiments.Catalog.ids) then
+        usage_error "unknown mode or experiment %S" id;
+      id :: parse rest
+  in
+  let args = parse (List.tl (Array.to_list Sys.argv)) in
+  let quick = !quick in
   let wanted = if args = [] then Experiments.Catalog.ids @ [ "micro" ] else args in
   let t0 = Unix.gettimeofday () in
   let results = ref [] in

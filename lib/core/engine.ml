@@ -43,35 +43,18 @@ let next_position ~from ~limit proposed =
     Vec.clamp_step ~from limit proposed
   else Array.make (Vec.dim from) Float.nan
 
-let iter ?rng config (alg : Algorithm.t) (inst : Instance.t) f =
-  let stepper = alg.make ?rng config ~start:inst.start in
-  let limit = Config.online_limit config in
-  let pos = ref inst.start in
-  Array.iteri
-    (fun round requests ->
-      let proposed = stepper requests in
-      let clamped = exceeds_limit ~from:!pos ~limit proposed in
-      let next = next_position ~from:!pos ~limit proposed in
-      let cost = Cost.step config ~from:!pos ~to_:next requests in
-      pos := next;
-      f { round; position = next; proposed; clamped; cost })
-    inst.steps
-
-let run ?rng config alg inst =
-  let t_len = Instance.length inst in
-  let positions = Array.make t_len inst.start in
-  let total = ref Cost.zero in
-  let clamped = ref 0 in
-  iter ?rng config alg inst (fun { round; position; clamped = c; cost; _ } ->
-      positions.(round) <- position;
-      if c then incr clamped;
-      total := Cost.add !total cost);
-  { algorithm = alg.name; config; positions; cost = !total; clamped = !clamped }
-
-let total_cost ?rng config alg inst =
-  let total = ref Cost.zero in
-  iter ?rng config alg inst (fun { cost; _ } -> total := Cost.add !total cost);
-  Cost.total !total
+(* The round kernel — the only place a round's arithmetic happens.  In
+   the paper's order: the stepper proposes, the proposal is tested
+   against the online budget and clamped to it, and the round is
+   charged (service plus [D] times the distance moved).  Every entry
+   point below — batch, streaming, packed and incremental — plays its
+   rounds through here, so they are bit-identical by construction. *)
+let round config ~limit stepper ~from ~index requests =
+  let proposed = stepper requests in
+  let clamped = exceeds_limit ~from ~limit proposed in
+  let position = next_position ~from ~limit proposed in
+  let cost = Cost.step config ~from ~to_:position requests in
+  { round = index; position; proposed; clamped; cost }
 
 type stream_summary = {
   s_algorithm : string;
@@ -81,13 +64,10 @@ type stream_summary = {
   s_final : Vec.t;
 }
 
-(* Streaming run: rounds come from a generator instead of an instance
-   array, and no trajectory is retained — live state is the stepper,
-   the current position and the running totals, independent of
-   [rounds].  The per-round sequence (stepper, clamp test, clamp, cost,
-   position update, totals) is exactly [iter]'s followed by [run]'s
-   fold, so on [fun r -> inst.steps.(r)] the summary is bit-identical
-   to [run]'s — the stream≡materialized identity test pins this. *)
+(* The one engine loop: round [r]'s requests come from [next r], in
+   round order, and no trajectory is retained — live state is the
+   stepper, the current position and the running totals, independent
+   of [rounds]. *)
 let run_stream ?rng ?trace config (alg : Algorithm.t) ~start ~rounds next =
   if rounds < 0 then invalid_arg "Engine.run_stream: rounds < 0";
   let stepper = alg.make ?rng config ~start in
@@ -95,18 +75,12 @@ let run_stream ?rng ?trace config (alg : Algorithm.t) ~start ~rounds next =
   let pos = ref start in
   let total = ref Cost.zero in
   let clamped = ref 0 in
-  for round = 0 to rounds - 1 do
-    let requests = next round in
-    let proposed = stepper requests in
-    let c = exceeds_limit ~from:!pos ~limit proposed in
-    let next_pos = next_position ~from:!pos ~limit proposed in
-    let cost = Cost.step config ~from:!pos ~to_:next_pos requests in
-    pos := next_pos;
-    if c then incr clamped;
-    total := Cost.add !total cost;
-    match trace with
-    | None -> ()
-    | Some f -> f { round; position = next_pos; proposed; clamped = c; cost }
+  for index = 0 to rounds - 1 do
+    let r = round config ~limit stepper ~from:!pos ~index (next index) in
+    pos := r.position;
+    if r.clamped then incr clamped;
+    total := Cost.add !total r.cost;
+    match trace with None -> () | Some f -> f r
   done;
   {
     s_algorithm = alg.name;
@@ -116,68 +90,65 @@ let run_stream ?rng ?trace config (alg : Algorithm.t) ~start ~rounds next =
     s_final = Vec.copy !pos;
   }
 
-(* Packed replay: per-round request views are materialized into a
-   fixed set of scratch vectors, so no request is boxed per round and
-   no per-round array is allocated.  [views.(r)] shares the first [r]
-   scratch vectors; both the algorithm stepper and the cost accounting
-   see ordinary [Vec.t array] values with exactly the boxed
-   coordinates, so the round arithmetic (and hence the run) is
-   bit-identical to [iter] on the unpacked instance.  Contract: the
+(* Request sources for the loop: [(start, rounds, next)]. *)
+let of_instance (inst : Instance.t) =
+  (inst.start, Instance.length inst, Array.get inst.steps)
+
+(* Packed source: round [r]'s requests are materialized into a fixed
+   set of scratch vectors, so no request is boxed per round and no
+   per-round array is allocated.  [views.(n)] shares the first [n]
+   scratch vectors; the stepper and the cost accounting see ordinary
+   [Vec.t array] values with exactly the boxed coordinates, so a run
+   is bit-identical to the unpacked instance's.  Contract: the
    algorithm must not retain the request array or its vectors across
    rounds — they are overwritten by the next round (every in-tree
    algorithm copies what it keeps). *)
-let iter_packed ?rng config (alg : Algorithm.t) (p : Instance.Packed.t) f =
-  let start = Instance.Packed.start p in
-  let stepper = alg.Algorithm.make ?rng config ~start in
-  let limit = Config.online_limit config in
-  let t_len = Instance.Packed.length p in
-  let d = Instance.Packed.dim p in
+let of_packed (p : Instance.Packed.t) =
+  let rounds = Instance.Packed.length p in
   let points = Instance.Packed.points p in
   let max_r = ref 0 in
-  for t = 0 to t_len - 1 do
+  for t = 0 to rounds - 1 do
     max_r := Stdlib.max !max_r (Instance.Packed.round_length p t)
   done;
-  let scratch = Array.init !max_r (fun _ -> Array.make d 0.0) in
-  let views = Array.init (!max_r + 1) (fun r -> Array.sub scratch 0 r) in
-  let pos = ref start in
-  for round = 0 to t_len - 1 do
-    let lo = Instance.Packed.round_start p round in
-    let r = Instance.Packed.round_length p round in
-    for i = 0 to r - 1 do
+  let scratch =
+    Array.init !max_r (fun _ -> Array.make (Instance.Packed.dim p) 0.0)
+  in
+  let views = Array.init (!max_r + 1) (fun n -> Array.sub scratch 0 n) in
+  let next index =
+    let lo = Instance.Packed.round_start p index in
+    let n = Instance.Packed.round_length p index in
+    for i = 0 to n - 1 do
       Geometry.Points.get_into points (lo + i) scratch.(i)
     done;
-    let requests = views.(r) in
-    let proposed = stepper requests in
-    let clamped = exceeds_limit ~from:!pos ~limit proposed in
-    let next = next_position ~from:!pos ~limit proposed in
-    let cost = Cost.step config ~from:!pos ~to_:next requests in
-    pos := next;
-    f { round; position = next; proposed; clamped; cost }
-  done
+    views.(n)
+  in
+  (Instance.Packed.start p, rounds, next)
 
-let run_packed ?rng config alg (p : Instance.Packed.t) =
-  let t_len = Instance.Packed.length p in
-  let positions = Array.make t_len (Instance.Packed.start p) in
-  let total = ref Cost.zero in
-  let clamped = ref 0 in
-  iter_packed ?rng config alg p
-    (fun { round; position; clamped = c; cost; _ } ->
-      positions.(round) <- position;
-      if c then incr clamped;
-      total := Cost.add !total cost);
-  {
-    algorithm = alg.Algorithm.name;
-    config;
-    positions;
-    cost = !total;
-    clamped = !clamped;
-  }
+let fold_run ?rng config (alg : Algorithm.t) (start, rounds, next) =
+  let positions = Array.make rounds start in
+  let s =
+    run_stream ?rng config alg ~start ~rounds next
+      ~trace:(fun r -> positions.(r.round) <- r.position)
+  in
+  { algorithm = alg.name; config; positions; cost = s.s_cost;
+    clamped = s.s_clamped }
+
+let fold_cost ?rng config alg (start, rounds, next) =
+  Cost.total (run_stream ?rng config alg ~start ~rounds next).s_cost
+
+let iter ?rng config alg inst f =
+  let start, rounds, next = of_instance inst in
+  ignore (run_stream ?rng ~trace:f config alg ~start ~rounds next)
+
+let run ?rng config alg inst = fold_run ?rng config alg (of_instance inst)
+
+let total_cost ?rng config alg inst =
+  fold_cost ?rng config alg (of_instance inst)
+
+let run_packed ?rng config alg p = fold_run ?rng config alg (of_packed p)
 
 let total_cost_packed ?rng config alg p =
-  let total = ref Cost.zero in
-  iter_packed ?rng config alg p (fun { cost; _ } ->
-      total := Cost.add !total cost);
-  Cost.total !total
+  fold_cost ?rng config alg (of_packed p)
 
 module Session = struct
   type t = {
@@ -218,20 +189,15 @@ module Session = struct
         if not (is_finite_vec v) then
           invalid_arg "Engine.Session.step: non-finite request coordinate")
       requests;
-    let proposed = session.stepper requests in
-    let clamped =
-      exceeds_limit ~from:session.position ~limit:session.limit proposed
+    let r =
+      round session.config ~limit:session.limit session.stepper
+        ~from:session.position ~index:session.rounds requests
     in
-    let next =
-      next_position ~from:session.position ~limit:session.limit proposed
-    in
-    let cost = Cost.step session.config ~from:session.position ~to_:next requests in
-    session.position <- next;
-    session.cost <- Cost.add session.cost cost;
-    if clamped then session.clamped <- session.clamped + 1;
-    let record = { round = session.rounds; position = next; proposed; clamped; cost } in
+    session.position <- r.position;
+    session.cost <- Cost.add session.cost r.cost;
+    if r.clamped then session.clamped <- session.clamped + 1;
     session.rounds <- session.rounds + 1;
-    record
+    r
 
   let position session = Vec.copy session.position
 

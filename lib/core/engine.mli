@@ -60,29 +60,23 @@ val run_stream :
     state is O(1) in [rounds] — the algorithm's stepper, the current
     position and the running totals — so a single session can stream
     [T = 10^7] rounds in constant memory.  [next round] is consumed
-    within the round; the engine does not retain it.  The per-round
-    arithmetic and its order are exactly {!iter}'s, so on
+    within the round; the engine does not retain it.  This is the
+    engine's one loop: {!run}, {!iter}, {!total_cost} and the [_packed]
+    variants are folds over it, and {!Session.step} plays its rounds
+    through the same private round kernel, so on
     [fun r -> inst.steps.(r)] the summary fields are bit-identical to
-    {!run}'s totals on [inst] (pinned by the stream≡materialized
-    test).  [trace], when given, receives each round's {!step_record}
-    — sampling hooks for long horizons; the record's vectors are fresh
+    {!run}'s totals on [inst] (pinned by the stream≡materialized test).
+    [trace], when given, receives each round's {!step_record} —
+    sampling hooks for long horizons; the record's vectors are fresh
     per round.  Raises [Invalid_argument] if [rounds < 0]. *)
-
-val iter_packed :
-  ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.Packed.t ->
-  (step_record -> unit) -> unit
-(** {!iter} on the struct-of-arrays view.  Per-round requests are
-    exposed to the algorithm through a fixed set of reused scratch
-    vectors (no per-round boxing), so the records — and the whole run —
-    are bit-identical to [iter config alg (Instance.unpack p)].
-    Contract: the algorithm must not retain the request array or its
-    vectors past the round; [proposed] in the record is likewise only
-    valid during the callback if it aliases a request. *)
 
 val run_packed :
   ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.Packed.t -> run
 (** {!run} on the packed view; bit-identical to running the unpacked
-    instance. *)
+    instance.  Per-round requests reach the algorithm through a fixed
+    set of reused scratch vectors (no per-round boxing).  Contract: the
+    algorithm must not retain the request array or its vectors past
+    the round. *)
 
 val total_cost_packed :
   ?rng:Prng.Xoshiro.t -> Config.t -> Algorithm.t -> Instance.Packed.t ->

@@ -4,21 +4,24 @@
     The driver is the single coordinating thread the daemon's API
     expects: per tick it submits the tick's open/step/close frames (all
     through the {!Frame} codec — the driver talks to the daemon only in
-    bytes), flushes, then decodes every reply.  For each session it
-    accumulates the served trajectory, and when the session closes it
-    replays the session's full instance through an in-process
-    {!Mobile_server.Engine.run} with the same PRNG
-    ({!Daemon.session_rng}) and compares {e bitwise}: every per-round
-    position, the cumulative move/service costs, the round and clamp
-    counts.  Any divergence is reported; [bench serve] turns it into a
-    non-zero exit.
+    bytes), flushes, then decodes every reply.  Both modes share one
+    tick loop and keep the same O(1) state per live session: the plan,
+    the served round count and a chained digest of the served
+    positions.  When a session closes the driver replays it in-process
+    with the same PRNG ({!Daemon.session_rng}) under {!Daemon.config}
+    and compares {e bitwise}: the position digest, the final position,
+    the cumulative move/service costs, the round and clamp counts.  A
+    divergence names the session (not the first divergent round);
+    [bench serve] turns any mismatch into a non-zero exit.
 
-    {!run_stream} is the same wall in O(live sessions) memory: the
-    schedule streams from a {!Workloads.Open_world.spec} (no plan
-    array), each session keeps only a chained digest of its served
-    positions instead of the trajectory, and the close-time replica is
-    {!Mobile_server.Engine.run_stream} over the session's workload
-    cursor.  This is what serves the million-live-session bench point.
+    The replica — the {e witness} — differs per mode, so that the
+    stream ≡ materialized gate compares two independent request
+    sources: {!run} replays {!Workloads.Open_world.plan_instance}
+    through {!Mobile_server.Engine.run}, and {!run_stream} replays a
+    fresh {!Workloads.Open_world.plan_cursor} through
+    {!Mobile_server.Engine.run_stream}.  {!run_stream} also streams the
+    schedule itself from a {!Workloads.Open_world.spec} (no plan
+    array), which is what serves the million-live-session bench point.
 
     Clocks are injected ([?now]) because this library must stay
     wall-clock-free (the determinism-clock lint): the bench passes
@@ -61,8 +64,8 @@ val ok : report -> bool
 
 val run : ?now:(unit -> float) -> Daemon.t -> Workloads.Open_world.t -> report
 (** [run daemon schedule] serves the whole schedule and verifies every
-    session against [Engine.run] under {!Daemon.config} with the
-    daemon's session PRNG.  The daemon is left running (not shut
+    session against [Engine.run] on its materialized instance under
+    {!Daemon.config} with the daemon's session PRNG.  The daemon is left running (not shut
     down), so a caller can serve several schedules back to back. *)
 
 val run_stream :
@@ -75,5 +78,4 @@ val run_stream :
     bitwise.  Submits byte-identical frames in the same order as
     [run (of_spec spec)] on an equal daemon, so the two reports'
     [reply_digest]s are equal — the stream ≡ materialized gate.
-    Driver-side memory is O(peak live sessions): a plan, a round
-    counter and one digest per live session. *)
+    Driver-side memory is O(peak live sessions). *)

@@ -6,16 +6,6 @@ type plan = {
   rounds : int;
 }
 
-type t = {
-  dim : int;
-  seed : int;
-  ticks : int;
-  arrival_rate : float;
-  mean_lifetime : float;
-  initial : int;
-  plans : plan array;  (* ordered by (arrival, id) *)
-}
-
 type spec = {
   s_dim : int;
   s_seed : int;
@@ -23,6 +13,11 @@ type spec = {
   s_arrival_rate : float;
   s_mean_lifetime : float;
   s_initial : int;
+}
+
+type t = {
+  spec : spec;
+  plans : plan array;  (* ordered by (arrival, id) *)
 }
 
 let family_count = 3
@@ -51,60 +46,55 @@ let spec ?(arrival_rate = 4.0) ?(mean_lifetime = 16.0) ?(initial = 0)
     s_initial = initial;
   }
 
-let of_spec (s : spec) =
-  let dim = s.s_dim and seed = s.s_seed and ticks = s.s_ticks in
-  let arrival_rate = s.s_arrival_rate in
-  let mean_lifetime = s.s_mean_lifetime in
-  let initial = s.s_initial in
-  let sched = Prng.Stream.named ~name:"open-world-schedule" ~seed in
-  let plans = ref [] in
-  let next = ref 0 in
-  let admit ~arrival =
-    let i = !next in
-    incr next;
+(* The admission process, shared by [of_spec] and [iter_stream] so both
+   make the same draws in the same order from one named stream.  The
+   returned function admits tick [tick]'s sessions in id order, handing
+   each plan to [f]: the initial block (tick 0 only), then one Poisson
+   draw and that many arrivals.  Ticks must be admitted in order. *)
+let admissions (s : spec) =
+  let sched = Prng.Stream.named ~name:"open-world-schedule" ~seed:s.s_seed in
+  let next_id = ref 0 in
+  let admit ~arrival f =
+    let i = !next_id in
+    incr next_id;
     (* Lifetimes round up (a session plays at least one round) and are
        capped so every session closes within the horizon. *)
     let drawn =
-      Prng.Dist.exponential sched ~rate:(1.0 /. mean_lifetime)
+      Prng.Dist.exponential sched ~rate:(1.0 /. s.s_mean_lifetime)
     in
-    let rounds =
-      Stdlib.max 1 (Stdlib.min (ticks - arrival) (int_of_float (Float.ceil drawn)))
-    in
-    plans :=
+    f
       {
         id = Int64.of_int i;
-        seed = Exec.derive_seed ~parent:seed i;
+        seed = Exec.derive_seed ~parent:s.s_seed i;
         family = i mod family_count;
         arrival;
-        rounds;
+        rounds =
+          Stdlib.max 1
+            (Stdlib.min (s.s_ticks - arrival)
+               (int_of_float (Float.ceil drawn)));
       }
-      :: !plans
   in
-  for tick = 0 to ticks - 1 do
-    if tick = 0 then
-      for _ = 1 to initial do admit ~arrival:0 done;
-    let arrivals = Prng.Dist.poisson sched ~lambda:arrival_rate in
-    for _ = 1 to arrivals do admit ~arrival:tick done
+  fun ~tick f ->
+    if tick = 0 then for _ = 1 to s.s_initial do admit ~arrival:0 f done;
+    let arrivals = Prng.Dist.poisson sched ~lambda:s.s_arrival_rate in
+    for _ = 1 to arrivals do admit ~arrival:tick f done
+
+let of_spec (s : spec) =
+  let admit = admissions s in
+  let plans = ref [] in
+  for tick = 0 to s.s_ticks - 1 do
+    admit ~tick (fun p -> plans := p :: !plans)
   done;
-  let plans = Array.of_list (List.rev !plans) in
   (* Admission order is already (arrival, id) order. *)
-  { dim; seed; ticks; arrival_rate; mean_lifetime; initial; plans }
+  { spec = s; plans = Array.of_list (List.rev !plans) }
 
 let generate ?arrival_rate ?mean_lifetime ?initial ~dim ~seed ~ticks () =
   of_spec (spec ?arrival_rate ?mean_lifetime ?initial ~dim ~seed ~ticks ())
 
-let spec_of t =
-  {
-    s_dim = t.dim;
-    s_seed = t.seed;
-    s_ticks = t.ticks;
-    s_arrival_rate = t.arrival_rate;
-    s_mean_lifetime = t.mean_lifetime;
-    s_initial = t.initial;
-  }
+let spec_of t = t.spec
 
-let dim t = t.dim
-let ticks t = t.ticks
+let dim t = t.spec.s_dim
+let ticks t = t.spec.s_ticks
 let sessions t = Array.length t.plans
 
 let total_rounds t =
@@ -112,7 +102,7 @@ let total_rounds t =
 
 let peak_live t =
   (* Sweep open/close deltas over the tick line. *)
-  let delta = Array.make (t.ticks + 1) 0 in
+  let delta = Array.make (ticks t + 1) 0 in
   Array.iter
     (fun p ->
       delta.(p.arrival) <- delta.(p.arrival) + 1;
@@ -130,42 +120,12 @@ let plans t = t.plans
 
 let plan_instance t (p : plan) =
   let rng = Prng.Stream.named ~name:"open-world-session" ~seed:p.seed in
+  let dim = dim t in
   match p.family with
-  | 0 -> Clusters.generate ~dim:t.dim ~t:p.rounds rng
-  | 1 -> Bursts.generate ~dim:t.dim ~t:p.rounds rng
-  | 2 -> Random_walk.generate ~dim:t.dim ~t:p.rounds rng
+  | 0 -> Clusters.generate ~dim ~t:p.rounds rng
+  | 1 -> Bursts.generate ~dim ~t:p.rounds rng
+  | 2 -> Random_walk.generate ~dim ~t:p.rounds rng
   | i -> invalid_arg (Printf.sprintf "Open_world.plan_instance: family %d" i)
-
-let iter t ~open_ ~step ~close ~tick_end =
-  let n = Array.length t.plans in
-  (* Live sessions in id order; arrivals append (ids increase with
-     arrival tick), closes filter — no hash iteration order anywhere. *)
-  let live = ref [] (* (plan, instance) list, id order *) in
-  let cursor = ref 0 in
-  for tick = 0 to t.ticks - 1 do
-    let opened = ref [] in
-    while !cursor < n && t.plans.(!cursor).arrival = tick do
-      let p = t.plans.(!cursor) in
-      incr cursor;
-      let inst = plan_instance t p in
-      open_ p inst;
-      opened := (p, inst) :: !opened
-    done;
-    live := !live @ List.rev !opened;
-    List.iter
-      (fun ((p : plan), (inst : Mobile_server.Instance.t)) ->
-        let round = tick - p.arrival in
-        step p ~round inst.Mobile_server.Instance.steps.(round))
-      !live;
-    live :=
-      List.filter
-        (fun ((p : plan), _) ->
-          let finished = tick - p.arrival = p.rounds - 1 in
-          if finished then close p;
-          not finished)
-        !live;
-    tick_end ~tick
-  done
 
 let plan_cursor (s : spec) (p : plan) =
   let rng = Prng.Stream.named ~name:"open-world-session" ~seed:p.seed in
@@ -175,54 +135,19 @@ let plan_cursor (s : spec) (p : plan) =
   | 2 -> Random_walk.cursor ~dim:s.s_dim rng
   | i -> invalid_arg (Printf.sprintf "Open_world.plan_cursor: family %d" i)
 
-(* Streaming schedule: no plan array is ever built.  The admission
-   draws replay [of_spec]'s loop verbatim — per tick, the initial
-   block (tick 0 only), one Poisson draw, then that tick's admits —
-   from the same named stream, so the plans handed to [open_] are
-   field-identical to [of_spec]'s.  Each admitted session holds only
-   its plan and workload cursor; the per-round request arrays come
-   from the cursor and are bit-identical to the materialized
-   instance's rounds ([Clusters.cursor] et al).  Live state is
-   O(concurrently live sessions), independent of the schedule's total
-   session count. *)
-let iter_stream (s : spec) ~open_ ~step ~close ~tick_end =
-  let sched = Prng.Stream.named ~name:"open-world-schedule" ~seed:s.s_seed in
-  let next_id = ref 0 in
-  (* Live sessions in id order, as in [iter]: arrivals append, closes
-     filter — no hash iteration order anywhere. *)
+(* The one tick loop behind [iter] and [iter_stream].  [admit ~tick]
+   opens the tick's arrivals and returns them in id order, each with
+   its round source.  Live sessions stay in id order (ids increase with
+   arrival tick, so arrivals append and closes filter) — no hash
+   iteration order anywhere. *)
+let run_ticks ~ticks ~admit ~step ~close ~tick_end =
   let live = ref [] in
-  let admit ~arrival opened =
-    let i = !next_id in
-    incr next_id;
-    let drawn =
-      Prng.Dist.exponential sched ~rate:(1.0 /. s.s_mean_lifetime)
-    in
-    let rounds =
-      Stdlib.max 1
-        (Stdlib.min (s.s_ticks - arrival) (int_of_float (Float.ceil drawn)))
-    in
-    let p =
-      {
-        id = Int64.of_int i;
-        seed = Exec.derive_seed ~parent:s.s_seed i;
-        family = i mod family_count;
-        arrival;
-        rounds;
-      }
-    in
-    let start, next = plan_cursor s p in
-    open_ p ~start;
-    opened := (p, next) :: !opened
-  in
-  for tick = 0 to s.s_ticks - 1 do
-    let opened = ref [] in
-    if tick = 0 then
-      for _ = 1 to s.s_initial do admit ~arrival:0 opened done;
-    let arrivals = Prng.Dist.poisson sched ~lambda:s.s_arrival_rate in
-    for _ = 1 to arrivals do admit ~arrival:tick opened done;
-    live := !live @ List.rev !opened;
+  for tick = 0 to ticks - 1 do
+    live := !live @ admit ~tick;
     List.iter
-      (fun ((p : plan), next) -> step p ~round:(tick - p.arrival) (next ()))
+      (fun ((p : plan), source) ->
+        let round = tick - p.arrival in
+        step p ~round (source round))
       !live;
     live :=
       List.filter
@@ -234,14 +159,50 @@ let iter_stream (s : spec) ~open_ ~step ~close ~tick_end =
     tick_end ~tick
   done
 
+(* Materialized: plans come from the array, rounds from each session's
+   instance, built at open and dropped at close. *)
+let iter t ~open_ ~step ~close ~tick_end =
+  let n = Array.length t.plans in
+  let cursor = ref 0 in
+  let admit ~tick =
+    let opened = ref [] in
+    while !cursor < n && t.plans.(!cursor).arrival = tick do
+      let p = t.plans.(!cursor) in
+      incr cursor;
+      let inst = plan_instance t p in
+      open_ p inst;
+      opened := (p, Array.get inst.Mobile_server.Instance.steps) :: !opened
+    done;
+    List.rev !opened
+  in
+  run_ticks ~ticks:(ticks t) ~admit ~step ~close ~tick_end
+
+(* Streaming: no plan array is ever built.  Plans come straight from
+   [admissions] (field-identical to [of_spec]'s), and each admitted
+   session holds only its plan and workload cursor, whose rounds are
+   bit-identical to the materialized instance's ([Clusters.cursor] et
+   al).  Live state is O(concurrently live sessions), independent of
+   the schedule's total session count. *)
+let iter_stream (s : spec) ~open_ ~step ~close ~tick_end =
+  let admissions = admissions s in
+  let admit ~tick =
+    let opened = ref [] in
+    admissions ~tick (fun p ->
+        let start, next = plan_cursor s p in
+        open_ p ~start;
+        opened := (p, fun _ -> next ()) :: !opened);
+    List.rev !opened
+  in
+  run_ticks ~ticks:s.s_ticks ~admit ~step ~close ~tick_end
+
 let fingerprint t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "open-world-v1 dim=%d seed=%d ticks=%d rate=%Lx life=%Lx initial=%d\n"
-       t.dim t.seed t.ticks
-       (Int64.bits_of_float t.arrival_rate)
-       (Int64.bits_of_float t.mean_lifetime)
-       t.initial);
+       t.spec.s_dim t.spec.s_seed t.spec.s_ticks
+       (Int64.bits_of_float t.spec.s_arrival_rate)
+       (Int64.bits_of_float t.spec.s_mean_lifetime)
+       t.spec.s_initial);
   Array.iter
     (fun p ->
       Buffer.add_string buf

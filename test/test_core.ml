@@ -285,21 +285,9 @@ let engine_empty_round () =
   check_float "no cost" 0.0 (Cost.total run.Engine.cost);
   Alcotest.check vec "stays" (Vec.zero 1) run.Engine.positions.(0)
 
-(* An algorithm that always proposes twice the online budget: every
-   proposal must be clamped and counted. *)
-let overstepper =
-  {
-    Algorithm.name = "overstepper";
-    make =
-      (fun ?rng:_ config ~start ->
-        let limit = Config.online_limit config in
-        let pos = ref (Vec.copy start) in
-        fun _requests ->
-          let target = Vec.copy !pos in
-          target.(0) <- target.(0) +. (2.0 *. limit);
-          pos := Vec.clamp_step ~from:!pos limit target;
-          target);
-  }
+(* Always proposes twice the online budget: every proposal must be
+   clamped and counted. *)
+let overstepper = Engine_paths.overstepper
 
 let engine_counts_clamped () =
   let config = Config.make ~delta:0.5 () in

@@ -195,20 +195,9 @@ let brute_2d_packed () =
 (* --- engine: packed vs boxed ---------------------------------------- *)
 
 let qcheck_engine_packed =
-  QCheck.Test.make ~count:60 ~name:"Engine packed run = boxed run (bitwise)"
-    QCheck.(pair config_gen (instance_gen 2))
-    (fun (config, inst) ->
-      let alg = MS.Mtc.algorithm in
-      let boxed = Engine.run config alg inst in
-      let packed = Engine.run_packed config alg (Instance.pack inst) in
-      float_bit_equal (Cost.total boxed.Engine.cost)
-        (Cost.total packed.Engine.cost)
-      && boxed.Engine.clamped = packed.Engine.clamped
-      && Array.for_all2 vec_bit_equal boxed.Engine.positions
-           packed.Engine.positions
-      && float_bit_equal
-           (Engine.total_cost config alg inst)
-           (Engine.total_cost_packed config alg (Instance.pack inst)))
+  QCheck.Test.make ~count:90 ~name:"Engine packed run = boxed run (bitwise)"
+    QCheck.(triple config_gen (instance_gen 2) Engine_paths.algorithm_gen)
+    (fun (config, inst, alg) -> Engine_paths.agree config alg inst)
 
 let qcheck_trajectory_packed =
   QCheck.Test.make ~count:100 ~name:"Cost.trajectory_packed = boxed (bitwise)"

@@ -7,7 +7,6 @@ module Vec = Geometry.Vec
 module Fbuf = Geometry.Fbuf
 module Config = Mobile_server.Config
 module Instance = Mobile_server.Instance
-module Cost = Mobile_server.Cost
 module Engine = Mobile_server.Engine
 
 let bits = Int64.bits_of_float
@@ -60,29 +59,12 @@ let qcheck_fbuf_blit =
 (* --- Engine.run_stream ≡ Engine.run -------------------------------- *)
 
 let qcheck_engine_stream =
-  QCheck.Test.make ~count:40 ~name:"Engine.run_stream = Engine.run (bitwise)"
-    QCheck.(small_nat)
-    (fun seed ->
+  QCheck.Test.make ~count:60 ~name:"Engine.run_stream = Engine.run (bitwise)"
+    QCheck.(pair small_nat Engine_paths.algorithm_gen)
+    (fun (seed, alg) ->
       let inst = Workloads.Clusters.generate ~dim:2 ~t:40 (rng_of seed) in
       let config = Config.make ~d_factor:1.5 ~delta:0.1 () in
-      let alg = Mobile_server.Mtc.algorithm in
-      let run = Engine.run config alg inst in
-      let positions = ref [] in
-      let summary =
-        Engine.run_stream config alg ~start:inst.Instance.start
-          ~rounds:(Array.length inst.Instance.steps)
-          ~trace:(fun r -> positions := r.Engine.position :: !positions)
-          (fun i -> inst.Instance.steps.(i))
-      in
-      let positions = Array.of_list (List.rev !positions) in
-      summary.Engine.s_rounds = Array.length run.Engine.positions
-      && summary.Engine.s_clamped = run.Engine.clamped
-      && same_bits summary.Engine.s_cost.Cost.move run.Engine.cost.Cost.move
-      && same_bits summary.Engine.s_cost.Cost.service
-           run.Engine.cost.Cost.service
-      && Array.for_all2 same_vec positions run.Engine.positions
-      && same_vec summary.Engine.s_final
-           run.Engine.positions.(Array.length run.Engine.positions - 1))
+      Engine_paths.agree config alg inst)
 
 (* --- Workload cursors ≡ generate ----------------------------------- *)
 
