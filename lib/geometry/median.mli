@@ -8,9 +8,8 @@
     In 1-D the minimizers form the interval between the lower and upper
     medians, and the tie-break picks the interval point closest to the
     server.  In higher dimension the median is unique unless the points
-    are collinear; we compute it with Weiszfeld's iteration using the
-    Vardi–Zhang modification, which remains correct when an iterate
-    lands exactly on an input point. *)
+    are collinear; {!solve} computes it to a certified duality gap with
+    the Vardi–Zhang vertex test and a damped Newton iteration. *)
 
 val cost : Vec.t -> Vec.t array -> float
 (** [cost c points] is [sum_i dist c points.(i)] — the Fermat–Weber
@@ -22,34 +21,80 @@ val median_1d : ?tie_break:float -> float array -> float
     count), returns the interval point closest to [tie_break]
     (default [0.]). *)
 
-val weiszfeld :
+type solution = {
+  point : Vec.t;  (** The returned center. *)
+  gap : float;
+      (** A certified bound on [cost point points -. min_c cost c points]
+          (a duality gap, >= 0): at most [eps *. cost point points]
+          unless the iteration cap or the rounding floor stopped the
+          solver first. *)
+  iterations : int;
+      (** Moves of the iterate (Newton, Weiszfeld or vertex steps); 0
+          when a closed form or the vertex test answered. *)
+}
+
+val solve :
   ?eps:float -> ?max_iter:int -> ?tie_break:Vec.t -> ?init:Vec.t ->
-  Vec.t array -> Vec.t
-(** [weiszfeld points] is the geometric median of a non-empty array of
-    points of equal dimension, to absolute step tolerance [eps]
-    (default [1e-10], at most [max_iter] = 200 iterations).
+  Vec.t array -> solution
+(** [solve points] is the geometric median of a non-empty array of
+    points of equal dimension, with its certificate.
 
-    [init] is the starting iterate (default: the centroid, a
-    2-approximation).  Passing the previous round's median warm-starts
-    the iteration — MtC's consecutive centers move only slightly, so a
-    warm start converges in a fraction of the iterations.  The starting
-    iterate only affects {e how fast} the iteration converges, not what
-    it converges to (up to the step tolerance); [init] is ignored by the
-    1-D, single-point and exactly-collinear branches, which are direct.
-    Raises [Invalid_argument] if [init]'s dimension does not match the
-    points.
+    The 1-D, single-point and exactly collinear inputs are answered
+    directly.  Otherwise (d >= 2, general position):
 
-    Uses the Vardi–Zhang update: when the current iterate coincides with
-    an input point of multiplicity [k], the pull of that point is
-    replaced by the optimality test [‖R‖ <= k] (where [R] is the
-    resultant of the other points) and the step is damped accordingly,
-    so the iteration never divides by zero and still converges to the
-    true median.
+    - {b Vertex test.}  The Vardi–Zhang test [‖R_k‖ <= mult_k] ([R_k]
+      is the sum of the unit vectors from the point [p_k] to the
+      others, [mult_k] the number of points within [1e-13 *. spread]
+      of [p_k]) proves [p_k] optimal, which is then returned as is.
+      With at most 16 points it covers every point: only the
+      lowest-objective point can be optimal, so the O(n²) pairwise
+      distances pick it and the test runs there.  If it fails, the
+      start is the lowest-objective of the centroid, the Vardi–Zhang
+      step off that point, and [init] when given.  Above 16 points the
+      start is the better of the centroid and [init], and the test runs
+      at the point nearest the iterate whenever that point changes
+      (jumping to its Vardi–Zhang step when that is lower).
+    - {b Damped Newton.}  Each iteration solves [H s = -g] with the
+      Hessian [H = Σ (I - u_i u_iᵀ) / d_i] (a d×d Cholesky; [g = Σ u_i]
+      is the gradient, [u_i] the unit vector from [p_i] to the iterate,
+      [d_i] the distance) and halves [s] (up to 30 times) until the
+      objective decreases.  When [H] is not positive definite, when the
+      iterate sits on a point, or when no halving decreases the
+      objective, it takes the Weiszfeld (Vardi–Zhang) step instead;
+      when that fails too the rounding floor is reached and it stops.
+    - {b Certificate.}  It stops once
+      [gap = f - (f - ⟨g, y - c⟩) / (1 + ‖g‖ / n) <= eps *. f], where
+      [f] is the objective at the iterate [y] and [c] the centroid:
+      [(u_i - g / n) / (1 + ‖g‖ / n)] is feasible for the dual
+      [max Σ ⟨w_i, p_i⟩ s.t. ‖w_i‖ <= 1, Σ w_i = 0], so [gap] bounds the
+      error by weak duality.  (Points at the iterate, and in a second
+      bound the nearest point, share one unit-ball vector instead; the
+      smaller bound is reported — see docs/perf.md.)  [eps] (default
+      [1e-12]) is that relative gap tolerance.
+    - {b Bounded work.}  At most [max_iter] (default 64) iterations,
+      each a bounded number of passes over the points (at most 35, when
+      every halving is tried): O(n²) for the vertex test up to 16
+      points, O(n · max_iter) in all.
+
+    [init] only adds a candidate start: it can change the returned bits
+    within the certified tolerance, never the point being approached.
+    Passing the start the solver would pick anyway (e.g. the centroid
+    when that wins) is bit-identical to passing nothing.  Raises
+    [Invalid_argument] if [init]'s dimension does not match the points.
 
     [tie_break] only matters for 1-D inputs and for exactly collinear
     inputs with an even count, where the minimizer set can be a segment;
     the returned point is then the segment point closest to
-    [tie_break]. *)
+    [tie_break].  Arithmetic is IEEE basic operations and [sqrt] only,
+    so the bits do not depend on the platform's libm. *)
+
+val weiszfeld :
+  ?eps:float -> ?max_iter:int -> ?tie_break:Vec.t -> ?init:Vec.t ->
+  Vec.t array -> Vec.t
+(** [weiszfeld points] is [(solve points).point] without computing the
+    certificate on the closed-form branches.  (The name is historical:
+    the general case is {!solve}'s vertex test and damped Newton, with
+    Weiszfeld's step as the fallback.) *)
 
 val center : ?init:Vec.t -> server:Vec.t -> Vec.t array -> Vec.t
 (** [center ~server requests] is the paper's center point [c]: the
@@ -57,8 +102,8 @@ val center : ?init:Vec.t -> server:Vec.t -> Vec.t array -> Vec.t
     Requires a non-empty request array whose dimension matches
     [server].  Special cases: one request returns that request; two
     requests return the segment point closest to [server] (the whole
-    segment is optimal).  [init] warm-starts the underlying
-    {!weiszfeld} iteration (see there); it never changes which point
+    segment is optimal).  [init] is one more candidate start for
+    the underlying {!solve} (see there); it never changes which point
     the iteration targets. *)
 
 val mean_center : server:Vec.t -> Vec.t array -> Vec.t

@@ -115,16 +115,11 @@ let snapshot_of session ~session_id mk =
 let process t shard (req : (Frame.request, string) result) : Frame.reply =
   match req with
   | Error msg ->
-    Frame.Error { session = 0L; code = Frame.Bad_frame; message = msg }
+    Frame.error ~session:0L Frame.Bad_frame msg
   | Ok (Frame.Open { session; seed; start }) ->
     if Hashtbl.mem shard.journals session || Hashtbl.mem shard.live session
     then
-      Frame.Error
-        {
-          session;
-          code = Frame.Duplicate_session;
-          message = "session id already open";
-        }
+      Frame.error ~session Frame.Duplicate_session "session id already open"
     else begin
       let start = Array.copy start in
       if t.journaled then
@@ -136,12 +131,7 @@ let process t shard (req : (Frame.request, string) result) : Frame.reply =
   | Ok (Frame.Step { session; requests }) ->
     (match find_session t shard session with
      | None ->
-       Frame.Error
-         {
-           session;
-           code = Frame.Unknown_session;
-           message = "no such session";
-         }
+       Frame.error ~session Frame.Unknown_session "no such session"
      | Some live ->
        (* Session.step validates the whole round before mutating, so a
           rejected round leaves the session live and untouched. *)
@@ -159,16 +149,11 @@ let process t shard (req : (Frame.request, string) result) : Frame.reply =
               clamped = record.Engine.clamped;
             }
         | exception Invalid_argument msg ->
-          Frame.Error { session; code = Frame.Bad_request; message = msg }))
+          Frame.error ~session Frame.Bad_request msg))
   | Ok (Frame.Checkpoint { session }) ->
     (match find_session t shard session with
      | None ->
-       Frame.Error
-         {
-           session;
-           code = Frame.Unknown_session;
-           message = "no such session";
-         }
+       Frame.error ~session Frame.Unknown_session "no such session"
      | Some live ->
        snapshot_of live ~session_id:session
          (fun ~session ~rounds ~clamped_rounds ~position ~move ~service ->
@@ -177,12 +162,7 @@ let process t shard (req : (Frame.request, string) result) : Frame.reply =
   | Ok (Frame.Close { session }) ->
     (match find_session t shard session with
      | None ->
-       Frame.Error
-         {
-           session;
-           code = Frame.Unknown_session;
-           message = "no such session";
-         }
+       Frame.error ~session Frame.Unknown_session "no such session"
      | Some live ->
        let reply =
          snapshot_of live ~session_id:session

@@ -71,11 +71,20 @@ let error_code_of_byte = function
 
 let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
 
+(* The field writers are total on their range and reject anything else:
+   masking would emit a frame the decoder misreads (a 65 536-request
+   step would decode as 0 requests plus trailing bytes). *)
+let out_of_range bits v =
+  invalid_arg
+    (Printf.sprintf "Frame: %d does not fit an unsigned %d-bit field" v bits)
+
 let add_u16 buf v =
+  if v < 0 || v > 0xFFFF then out_of_range 16 v;
   add_u8 buf (v lsr 8);
   add_u8 buf v
 
 let add_u32 buf v =
+  if v < 0 || v > 0xFFFF_FFFF then out_of_range 32 v;
   add_u8 buf (v lsr 24);
   add_u8 buf (v lsr 16);
   add_u8 buf (v lsr 8);
@@ -94,6 +103,10 @@ let add_vec buf v =
 
 let frame payload =
   let n = String.length payload in
+  if n > max_payload then
+    invalid_arg
+      (Printf.sprintf "Frame: payload of %d bytes exceeds max payload %d" n
+         max_payload);
   let buf = Buffer.create (n + 4) in
   add_u32 buf n;
   Buffer.add_string buf payload;
@@ -172,6 +185,15 @@ let encode_reply reply =
             Buffer.add_string b message) )
   in
   frame (payload ~opcode body)
+
+let max_message = 0xFFFF
+
+let error ~session code message =
+  let message =
+    if String.length message <= max_message then message
+    else String.sub message 0 max_message
+  in
+  Error { session; code; message }
 
 (* --- decoding --------------------------------------------------------- *)
 

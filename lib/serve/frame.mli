@@ -83,10 +83,22 @@ val encode_request : request -> string
 (** One full frame, length prefix included.  Requests with non-finite
     coordinates encode faithfully (the bits travel) but will be rejected
     by {!decode_request} — that is how the malformed-frame tests build
-    their fixtures. *)
+    their fixtures.  Raises [Invalid_argument] rather than emit a frame
+    the decoder would reject: when a request count or a vector
+    dimension exceeds 65 535, or the payload exceeds {!max_payload}. *)
 
 val encode_reply : reply -> string
-(** One full frame, length prefix included. *)
+(** One full frame, length prefix included.  Raises [Invalid_argument]
+    when a vector dimension or an error message length exceeds 65 535,
+    a round or clamp count exceeds [2^32 - 1], or the payload exceeds
+    {!max_payload} (see {!error} for a message that always fits). *)
+
+val max_message : int
+(** 65 535: the longest [Error] message a reply can carry. *)
+
+val error : session:int64 -> error_code -> string -> reply
+(** [error ~session code message] is the [Error] reply with [message]
+    cut to its first {!max_message} bytes, so that it always encodes. *)
 
 val decode_request : string -> (request, string) result
 (** Decode exactly one framed request.  [Error] pinpoints the defect;

@@ -224,6 +224,110 @@ let weiszfeld_near_optimal () =
       candidates
   done
 
+(* --- Median: certified solver --------------------------------------- *)
+
+let bits_equal u v =
+  Array.length u = Array.length v
+  && Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       u v
+
+(* [solve]'s default relative gap tolerance. *)
+let tol = 1e-12
+
+let certified name ps (s : Median.solution) =
+  let f = Median.cost s.Median.point ps in
+  if not (s.Median.gap <= tol *. f) then
+    Alcotest.failf "%s: gap %g above %g * cost %g" name s.Median.gap tol f
+
+let solve_exact_vertex () =
+  (* Three unit vectors 120 degrees apart cancel at the origin, so the
+     Vardi–Zhang test holds there and the request itself comes back. *)
+  let h = sqrt 3.0 /. 2.0 in
+  let ps =
+    [| Vec.make2 1.0 0.0; Vec.make2 (-0.5) h; Vec.make2 0.0 0.0;
+       Vec.make2 (-0.5) (-.h) |]
+  in
+  let s = Median.solve ps in
+  if not (bits_equal s.Median.point ps.(2)) then
+    Alcotest.failf "vertex not returned exactly: %s" (Vec.to_string s.Median.point);
+  Alcotest.(check int) "no iterations" 0 s.Median.iterations;
+  check_float "zero gap" 0.0 s.Median.gap
+
+let solve_duplicate_majority () =
+  (* Three copies of one request outweigh the other two: the duplicated
+     request is the median, found by the vertex test. *)
+  let p = Vec.make2 1.0 1.0 in
+  let ps =
+    [| Vec.make2 5.0 5.0; Vec.copy p; Vec.make2 (-2.0) 0.0; Vec.copy p;
+       Vec.copy p |]
+  in
+  let s = Median.solve ps in
+  if not (bits_equal s.Median.point p) then
+    Alcotest.failf "majority request not returned exactly: %s"
+      (Vec.to_string s.Median.point);
+  Alcotest.(check int) "no iterations" 0 s.Median.iterations;
+  check_float "zero gap" 0.0 s.Median.gap
+
+let solve_extreme_scales () =
+  (* The solver is scale-free: 1e150 and 1e-150 copies of one instance
+     give the scaled answer, certified to the same relative tolerance. *)
+  let base =
+    [| Vec.make2 0.3 1.7; Vec.make2 2.5 (-0.4); Vec.make2 (-1.2) 0.9;
+       Vec.make2 0.8 3.1; Vec.make2 1.9 2.2 |]
+  in
+  let m = Median.weiszfeld base in
+  List.iter
+    (fun k ->
+      let ps = Array.map (Vec.scale k) base in
+      let s = Median.solve ps in
+      certified (Printf.sprintf "scale %g" k) ps s;
+      let back = Vec.scale (1.0 /. k) s.Median.point in
+      if Vec.dist back m > 1e-12 then
+        Alcotest.failf "scale %g: %s, expected %s" k (Vec.to_string back)
+          (Vec.to_string m))
+    [ 1e150; 1e-150 ]
+
+let solve_three_dimensions () =
+  (* An axis-aligned octahedron is symmetric about the origin; an extra
+     request at (5, 5, 5) pulls the median off it.  No request and no
+     random point may beat the certified answer. *)
+  let ps =
+    [| [| 1.0; 0.0; 0.0 |]; [| -1.0; 0.0; 0.0 |]; [| 0.0; 2.0; 0.0 |];
+       [| 0.0; -2.0; 0.0 |]; [| 0.0; 0.0; 3.0 |]; [| 0.0; 0.0; -3.0 |];
+       [| 5.0; 5.0; 5.0 |] |]
+  in
+  let s = Median.solve ps in
+  certified "octahedron" ps s;
+  let f = Median.cost s.Median.point ps in
+  let rng = Prng.Xoshiro.create 3L in
+  let candidates =
+    Array.append ps
+      (Array.init 200 (fun _ ->
+           Array.init 3 (fun _ -> Prng.Dist.uniform rng ~lo:(-1.0) ~hi:1.0)))
+  in
+  Array.iter
+    (fun c ->
+      if Median.cost c ps < f then
+        Alcotest.failf "beaten at %s: %.17g < %.17g" (Vec.to_string c)
+          (Median.cost c ps) f)
+    candidates
+
+let solve_max_request_round () =
+  (* The largest round a Step frame can carry: the work is bounded by
+     the iteration cap (default 64), not by the request count. *)
+  let rng = Prng.Xoshiro.create 65535L in
+  let ps =
+    Array.init 65535 (fun _ ->
+        Vec.make2
+          (Prng.Dist.uniform rng ~lo:(-100.0) ~hi:100.0)
+          (Prng.Dist.uniform rng ~lo:(-100.0) ~hi:100.0))
+  in
+  let s = Median.solve ps in
+  certified "65535 requests" ps s;
+  if s.Median.iterations > 64 then
+    Alcotest.failf "%d iterations, cap 64" s.Median.iterations
+
 (* --- Median: center ------------------------------------------------ *)
 
 let center_one_request () =
@@ -328,6 +432,14 @@ let () =
           Alcotest.test_case "mixed dims" `Quick weiszfeld_mixed_dims;
           Alcotest.test_case "1-D delegates" `Quick weiszfeld_1d_delegates;
           Alcotest.test_case "near optimal" `Slow weiszfeld_near_optimal;
+        ] );
+      ( "certified",
+        [
+          Alcotest.test_case "exact vertex" `Quick solve_exact_vertex;
+          Alcotest.test_case "duplicate majority" `Quick solve_duplicate_majority;
+          Alcotest.test_case "1e150 and 1e-150" `Quick solve_extreme_scales;
+          Alcotest.test_case "d = 3" `Quick solve_three_dimensions;
+          Alcotest.test_case "65535 requests" `Quick solve_max_request_round;
         ] );
       ( "center",
         [

@@ -285,23 +285,98 @@ let reply_gen =
         session_gen code_gen message_gen;
     ]
 
+(* Field-width boundaries: counts and lengths of 65 535 (the largest a
+   u16 field holds) and 65 536 (the smallest it does not), and round
+   counts either side of 2^32.  A value that fits must round-trip; one
+   that does not must make the encoder raise, never emit bytes. *)
+let u16_edge = QCheck.Gen.oneofl [ 65_535; 65_536 ]
+let u32_edge = QCheck.Gen.oneofl [ 0xFFFF_FFFF; 0x1_0000_0000 ]
+
+let boundary_request_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map2
+        (fun session n ->
+          Frame.Step { session; requests = Array.make n [| 1.5 |] })
+        session_gen u16_edge;
+      map2
+        (fun session n ->
+          Frame.Open { session; seed = 0; start = Array.make n 0.25 })
+        session_gen u16_edge;
+    ]
+
+let boundary_reply_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map2
+        (fun session n ->
+          Frame.Stepped
+            { session; position = Array.make n 2.0; move = 0.0;
+              service = 0.0; clamped = false })
+        session_gen u16_edge;
+      map2
+        (fun session n ->
+          Frame.Error
+            { session; code = Frame.Bad_request; message = String.make n 'm' })
+        session_gen u16_edge;
+      map2
+        (fun session rounds ->
+          Frame.Snapshot
+            { session; rounds; clamped_rounds = 0; position = [| 0.0 |];
+              move = 0.0; service = 0.0 })
+        session_gen u32_edge;
+    ]
+
+(* Every count, length and dimension a message carries (and, for
+   snapshots, its 32-bit counters): what must fit the wire fields. *)
+let request_fields = function
+  | Frame.Open { start; _ } -> ([ Array.length start ], [])
+  | Frame.Step { requests; _ } ->
+    (Array.length requests :: Array.to_list (Array.map Array.length requests), [])
+  | Frame.Checkpoint _ | Frame.Close _ -> ([], [])
+
+let reply_fields = function
+  | Frame.Opened _ -> ([], [])
+  | Frame.Stepped { position; _ } -> ([ Array.length position ], [])
+  | Frame.Snapshot { rounds; clamped_rounds; position; _ }
+  | Frame.Closed { rounds; clamped_rounds; position; _ } ->
+    ([ Array.length position ], [ rounds; clamped_rounds ])
+  | Frame.Error { message; _ } -> ([ String.length message ], [])
+
+let fits (u16s, u32s) =
+  List.for_all (fun v -> v <= 0xFFFF) u16s
+  && List.for_all (fun v -> v <= 0xFFFF_FFFF) u32s
+
+let roundtrip ~encode ~decode ~fields x =
+  match encode x with
+  | exception Invalid_argument _ -> not (fits (fields x))
+  | bytes ->
+    fits (fields x)
+    && (match decode bytes with
+        | Ok x' -> encode x' = bytes
+        | Error _ -> false)
+
+let print_with encode x =
+  match encode x with
+  | bytes -> hex_of (String.sub bytes 0 (min 64 (String.length bytes)))
+  | exception Invalid_argument msg -> msg
+
 let qcheck_request_roundtrip =
   QCheck.Test.make ~count:500 ~name:"request encode/decode is bit-lossless"
-    (QCheck.make ~print:(fun r -> hex_of (Frame.encode_request r)) request_gen)
-    (fun r ->
-      let bytes = Frame.encode_request r in
-      match Frame.decode_request bytes with
-      | Ok r' -> Frame.encode_request r' = bytes
-      | Error _ -> false)
+    (QCheck.make ~print:(print_with Frame.encode_request)
+       (QCheck.Gen.frequency
+          [ (19, request_gen); (1, boundary_request_gen) ]))
+    (roundtrip ~encode:Frame.encode_request ~decode:Frame.decode_request
+       ~fields:request_fields)
 
 let qcheck_reply_roundtrip =
   QCheck.Test.make ~count:500 ~name:"reply encode/decode is bit-lossless"
-    (QCheck.make ~print:(fun r -> hex_of (Frame.encode_reply r)) reply_gen)
-    (fun r ->
-      let bytes = Frame.encode_reply r in
-      match Frame.decode_reply bytes with
-      | Ok r' -> Frame.encode_reply r' = bytes
-      | Error _ -> false)
+    (QCheck.make ~print:(print_with Frame.encode_reply)
+       (QCheck.Gen.frequency [ (19, reply_gen); (1, boundary_reply_gen) ]))
+    (roundtrip ~encode:Frame.encode_reply ~decode:Frame.decode_reply
+       ~fields:reply_fields)
 
 let qcheck_split_rejoins =
   QCheck.Test.make ~count:200 ~name:"split cuts a stream back into frames"
@@ -403,7 +478,54 @@ let malformed_rejection () =
    | Ok _ -> Alcotest.fail "split accepted a truncated trailing frame"
    | Error msg ->
      Alcotest.(check string) "split names the defect"
-       "truncated length prefix: 2 byte(s), need 4" msg)
+       "truncated length prefix: 2 byte(s), need 4" msg);
+  (* Values the wire fields cannot carry are refused by the encoder;
+     masked, they would make frames the decoder rejects (a 100 000-request
+     step would come back as "trailing 1179648 byte(s) after frame
+     body"). *)
+  let refuses what expected f =
+    Alcotest.check_raises what (Invalid_argument expected) (fun () ->
+        ignore (f ()))
+  in
+  refuses "100 000-request step"
+    "Frame: 100000 does not fit an unsigned 16-bit field" (fun () ->
+      Frame.encode_request
+        (Frame.Step { session = 1L; requests = Array.make 100_000 [| 0.0 |] }));
+  refuses "65 536-coordinate start"
+    "Frame: 65536 does not fit an unsigned 16-bit field" (fun () ->
+      Frame.encode_request
+        (Frame.Open { session = 1L; seed = 0; start = Array.make 65_536 0.0 }));
+  refuses "65 536-byte error message"
+    "Frame: 65536 does not fit an unsigned 16-bit field" (fun () ->
+      Frame.encode_reply
+        (Frame.Error
+           { session = 1L; code = Frame.Bad_frame;
+             message = String.make 65_536 'x' }));
+  refuses "round count of 2^32"
+    "Frame: 4294967296 does not fit an unsigned 32-bit field" (fun () ->
+      Frame.encode_reply
+        (Frame.Closed
+           { session = 1L; rounds = 0x1_0000_0000; clamped_rounds = 0;
+             position = [| 0.0 |]; move = 0.0; service = 0.0 }));
+  (* 2 048 requests of 1 024 coordinates: every field fits, the payload
+     (2 + 8 + 2 + 2048 * (2 + 8192) bytes) does not. *)
+  refuses "payload over max_payload"
+    "Frame: payload of 16781324 bytes exceeds max payload 16777216"
+    (fun () ->
+      Frame.encode_request
+        (Frame.Step
+           { session = 1L; requests = Array.make 2048 (Array.make 1024 0.0) }));
+  (* [Frame.error] cuts an over-long message so the reply always
+     encodes. *)
+  (match
+     Frame.decode_reply
+       (Frame.encode_reply
+          (Frame.error ~session:7L Frame.Bad_request (String.make 70_000 'y')))
+   with
+   | Ok (Frame.Error { message; _ }) ->
+     Alcotest.(check int) "error message cut to max_message"
+       Frame.max_message (String.length message)
+   | Ok _ | Error _ -> Alcotest.fail "truncated error reply did not round-trip")
 
 (* --- daemon ----------------------------------------------------------- *)
 
