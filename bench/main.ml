@@ -402,10 +402,13 @@ let run_hotpath ~quick ~out ~golden () =
             (fun r -> Array.length r >= 3)
             (Array.to_list inst.MS.Instance.steps)))
   in
+  let iterations_total = ref 0 and passes_max = ref 0 in
   let dominance_worst, dominance_violations, gap_worst, gap_failures =
     Array.fold_left
       (fun (dw, dv, gw, gf) pts ->
         let s = Geometry.Median.solve pts in
+        iterations_total := !iterations_total + s.Geometry.Median.iterations;
+        passes_max := max !passes_max s.Geometry.Median.passes;
         let f = Geometry.Median.cost s.Geometry.Median.point pts in
         let f_seed = Geometry.Median.cost (Seed_replica.weiszfeld pts) pts in
         let d = (f -. f_seed) /. f_seed and g = s.Geometry.Median.gap /. f in
@@ -482,6 +485,12 @@ let run_hotpath ~quick ~out ~golden () =
   Printf.printf
     "certified gap, worst          : %.3g relative, %d above %g (must be 0)\n"
     gap_worst gap_failures gap_tol;
+  let iterations_mean =
+    float_of_int !iterations_total /. float_of_int (Array.length median_rounds)
+  in
+  Printf.printf
+    "certified work per round      : %.3g iterations mean, %d passes max\n"
+    iterations_mean !passes_max;
   Printf.printf "golden trajectory identical   : %b\n" identity_golden;
   Printf.printf "e1 report jobs1 = jobs2       : %b\n%!" identity_report;
   let buf = Buffer.create 1024 in
@@ -534,6 +543,10 @@ let run_hotpath ~quick ~out ~golden () =
     (Printf.sprintf "  \"median_gap_worst_rel\": %.6g,\n" gap_worst);
   Buffer.add_string buf
     (Printf.sprintf "  \"median_gap_failures\": %d,\n" gap_failures);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"median_iterations_mean\": %.6g,\n" iterations_mean);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"median_passes_max\": %d,\n" !passes_max);
   Buffer.add_string buf
     (Printf.sprintf "  \"identity_golden_trajectory\": %b,\n" identity_golden);
   Buffer.add_string buf

@@ -64,13 +64,7 @@ let collinear_median ~origin ~dir ~tie_break points =
   let c = median_1d ~tie_break:tb coords in
   Vec.add origin (Vec.scale c dir)
 
-type solution = { point : Vec.t; gap : float; iterations : int }
-
-(* Up to this many points the vertex test sees every point (O(n^2)
-   pairwise distances); above it, it runs at the point nearest the
-   current iterate.  Every serve-plane round (at most 12 requests) is
-   within it. *)
-let exhaustive_vertex_max = 16
+type solution = { point : Vec.t; gap : float; iterations : int; passes : int }
 
 (* Step halvings tried per Newton step before falling back to the
    Weiszfeld step. *)
@@ -306,16 +300,18 @@ let newton_step st step =
 
 (* Try [y + t step] for t = 1, 1/2, ... (at most [halvings] halvings)
    and move [y] to the first trial point where the objective decreases,
-   after [eval st y].  The change is summed term by term as
+   after [eval st y].  Each trial is one pass over the points, counted
+   in [passes].  The change is summed term by term as
    [d_i' - d_i = <s, (a_i + b_i) / (d_i' + d_i)>] with [s = trial - y],
    [a_i = trial - p_i] and [b_i = y - p_i]: no cancellation, so its sign
    stays right long after two rounded objectives stop telling the
    iterates apart, and Newton keeps converging down to a gap near the
    rounding floor. *)
-let line_search st ~halvings y step trial points =
+let line_search st ~passes ~halvings y step trial points =
   let d = Array.length y in
   let t = ref 1.0 and k = ref 0 and moved = ref false in
   while (not !moved) && !k <= halvings do
+    incr passes;
     for i = 0 to d - 1 do
       trial.(i) <- y.(i) +. (!t *. step.(i))
     done;
@@ -348,100 +344,71 @@ let certified ~eps ~max_iter ~spread ?init points =
   let d = Vec.dim points.(0) in
   let anchor_eps = 1e-13 *. spread in
   let centroid = Vec.centroid points in
-  let st = scratch ~n d in
-  let finish st y iterations =
-    { point = y; gap = gap st ~centroid y n; iterations }
+  let st = scratch ~n d and sa = scratch ~n d in
+  let passes = ref 0 in
+  let eval_at s y =
+    incr passes;
+    eval s ~anchor_eps y points
   in
-  (* Vertex test.  A point can only be the median if no other point
-     has a lower objective, so the objective at every point (each
-     pairwise distance once) picks the one point worth testing; if it
-     fails, its Vardi–Zhang step is a candidate start. *)
-  let vertex = ref (-1) and step_off = ref None in
-  if n <= exhaustive_vertex_max then begin
-    let fk = st.dists in
-    Array.fill fk 0 n 0.0;
-    for j = 0 to n - 1 do
-      for k = j + 1 to n - 1 do
-        let djk = dist_into st.diff points.(j) points.(k) in
-        fk.(j) <- fk.(j) +. djk;
-        fk.(k) <- fk.(k) +. djk
-      done
-    done;
-    let best = ref 0 in
-    for k = 1 to n - 1 do
-      if fk.(k) < fk.(!best) then best := k
-    done;
-    let p = points.(!best) in
-    eval st ~anchor_eps p points;
-    if st.vertex then vertex := !best
-    else begin
-      let off = Array.make d 0.0 in
-      weiszfeld_step st off;
-      for i = 0 to d - 1 do
-        off.(i) <- p.(i) +. off.(i)
-      done;
-      step_off := Some off
-    end
-  end;
-  if !vertex >= 0 then finish st (Vec.copy points.(!vertex)) 0
-  else begin
-    (* Start from the lowest-objective candidate; ties keep the
-       earlier one, so [init] equal to the winner changes nothing. *)
-    let start = ref centroid and start_f = ref (cost centroid points) in
-    let consider v =
-      let f = cost v points in
-      if f < !start_f then begin
-        start := v;
-        start_f := f
+  (* The start is the lower-objective of the centroid and [init]; ties
+     keep the centroid, so [init] equal to it changes nothing. *)
+  let y =
+    match init with
+    | None -> Vec.copy centroid
+    | Some v ->
+      passes := 2;
+      Vec.copy (if cost v points < cost centroid points then v else centroid)
+  in
+  eval_at st y;
+  (* After the start, at most [3 * max_iter] passes: a trial point
+     costs one and a move one more (the evaluation there), so a search
+     tries at most as many halvings as that leaves. *)
+  let budget = !passes + (3 * max_iter) in
+  let step = Array.make d 0.0 and trial = Array.make d 0.0 in
+  let search ~halvings =
+    let halvings = min halvings (budget - !passes - 2) in
+    halvings >= 0 && line_search st ~passes ~halvings y step trial points
+  in
+  let finish s y iterations =
+    { point = y; gap = gap s ~centroid y n; iterations; passes = !passes }
+  in
+  let tested = ref (-1) in
+  (* Each move of [y] counts as an iteration and is followed by
+     [eval_at st y]. *)
+  let rec iterate iterations =
+    if st.nearest <> !tested && !passes < budget then begin
+      (* The vertex test at the point nearest the iterate, once per
+         point.  If it fails, that point's Vardi–Zhang step is a
+         candidate: jump there if it is lower. *)
+      tested := st.nearest;
+      let q = points.(st.nearest) in
+      eval_at sa q;
+      if sa.vertex then finish sa (Vec.copy q) iterations
+      else begin
+        weiszfeld_step sa step;
+        for i = 0 to d - 1 do
+          step.(i) <- q.(i) +. step.(i) -. y.(i)
+        done;
+        if iterations < max_iter && search ~halvings:0 then moved iterations
+        else descend iterations
       end
-    in
-    Option.iter consider !step_off;
-    Option.iter consider init;
-    let y = Vec.copy !start in
-    let step = Array.make d 0.0 and trial = Array.make d 0.0 in
-    let anchor = if n > exhaustive_vertex_max then Some (scratch ~n d) else None in
-    let tested = ref (-1) in
-    (* Each move of [y] counts as an iteration and is followed by
-       [eval st y]. *)
-    let rec iterate iterations =
-      match anchor with
-      | Some sa when st.nearest <> !tested ->
-        (* Above the threshold: the vertex test at the point nearest the
-           iterate, once per point.  If it fails, that point's
-           Vardi–Zhang step is a candidate, as below the threshold:
-           jump there if it is lower. *)
-        tested := st.nearest;
-        let q = points.(st.nearest) in
-        eval sa ~anchor_eps q points;
-        if sa.vertex then finish sa (Vec.copy q) iterations
-        else begin
-          weiszfeld_step sa step;
-          for i = 0 to d - 1 do
-            step.(i) <- q.(i) +. step.(i) -. y.(i)
-          done;
-          if iterations < max_iter
-             && line_search st ~halvings:0 y step trial points
-          then moved iterations
-          else descend iterations
-        end
-      | Some _ | None -> descend iterations
-    and descend iterations =
-      if gap st ~centroid y n > eps *. st.sums.f
-         && iterations < max_iter
-         && ((st.mult = 0
-              && newton_step st step
-              && line_search st ~halvings:max_halvings y step trial points)
-             || (weiszfeld_step st step;
-                 line_search st ~halvings:0 y step trial points))
-      then moved iterations
-      else finish st y iterations
-    and moved iterations =
-      eval st ~anchor_eps y points;
-      iterate (iterations + 1)
-    in
-    eval st ~anchor_eps y points;
-    iterate 0
-  end
+    end
+    else descend iterations
+  and descend iterations =
+    if gap st ~centroid y n > eps *. st.sums.f
+       && iterations < max_iter
+       && ((st.mult = 0
+            && newton_step st step
+            && search ~halvings:max_halvings)
+           || (weiszfeld_step st step;
+               search ~halvings:0))
+    then moved iterations
+    else finish st y iterations
+  and moved iterations =
+    eval_at st y;
+    iterate (iterations + 1)
+  in
+  iterate 0
 
 (* The dispatch shared by [solve] and [weiszfeld]: [`Direct p] for the
    closed-form branches (no certificate computed), [`Solved s] for the
@@ -494,8 +461,12 @@ let dispatch ~eps ~max_iter ?tie_break ?init points =
     end
   end
 
-let solve ?(eps = 1e-12) ?(max_iter = 64) ?tie_break ?init points =
-  match dispatch ~eps ~max_iter ?tie_break ?init points with
+(* The defaults: relative gap tolerance and iteration cap. *)
+let default_eps = 1e-12
+let default_max_iter = 64
+
+let solve points =
+  match dispatch ~eps:default_eps ~max_iter:default_max_iter points with
   | `Solved s -> s
   | `Direct p ->
     let st = scratch ~n:(Array.length points) (Vec.dim p) in
@@ -509,9 +480,10 @@ let solve ?(eps = 1e-12) ?(max_iter = 64) ?tie_break ?init points =
     eval st ~anchor_eps:(2e-12 *. spread) p points;
     { point = p; gap = gap st ~centroid:(Vec.centroid points) p
                          (Array.length points);
-      iterations = 0 }
+      iterations = 0; passes = 0 }
 
-let weiszfeld ?(eps = 1e-12) ?(max_iter = 64) ?tie_break ?init points =
+let weiszfeld ?(eps = default_eps) ?(max_iter = default_max_iter) ?tie_break
+    ?init points =
   match dispatch ~eps ~max_iter ?tie_break ?init points with
   | `Solved s -> s.point
   | `Direct p -> p

@@ -313,9 +313,18 @@ let solve_three_dimensions () =
           (Median.cost c ps) f)
     candidates
 
+(* [solve]'s work bound: 3 * 64 passes after the start's evaluation. *)
+let max_passes = 193
+
+let bounded_work name (s : Median.solution) =
+  if s.Median.iterations > 64 then
+    Alcotest.failf "%s: %d iterations, cap 64" name s.Median.iterations;
+  if s.Median.passes > max_passes then
+    Alcotest.failf "%s: %d passes, bound %d" name s.Median.passes max_passes
+
 let solve_max_request_round () =
   (* The largest round a Step frame can carry: the work is bounded by
-     the iteration cap (default 64), not by the request count. *)
+     the pass budget, not by the request count. *)
   let rng = Prng.Xoshiro.create 65535L in
   let ps =
     Array.init 65535 (fun _ ->
@@ -325,8 +334,55 @@ let solve_max_request_round () =
   in
   let s = Median.solve ps in
   certified "65535 requests" ps s;
-  if s.Median.iterations > 64 then
-    Alcotest.failf "%d iterations, cap 64" s.Median.iterations
+  bounded_work "65535 requests" s
+
+let solve_max_request_near_vertex () =
+  (* The near-vertex quadrilateral of the perf-equivalence suite at the
+     largest round size: 16 383 requests jittered by 1e-9 around each
+     corner, plus three in the unit square.  The optimum sits just off
+     the heaviest corner, where Newton halves its step most. *)
+  let quad =
+    [| Vec.make2 (-0.7953723969687756) 0.2684881904296193;
+       Vec.make2 1.6031695495654288 2.1115440526830001;
+       Vec.make2 0.39846617187154143 0.25696931859187111;
+       Vec.make2 1.3476005811418121 1.920611582098636 |]
+  in
+  let rng = Prng.Xoshiro.create 4L in
+  let u lo hi = Prng.Dist.uniform rng ~lo ~hi in
+  let ps =
+    Array.init 65535 (fun i ->
+        if i < 4 * 16383 then
+          let q = quad.(i mod 4) in
+          Vec.make2 (q.(0) +. u (-1e-9) 1e-9) (q.(1) +. u (-1e-9) 1e-9)
+        else Vec.make2 (u 0.0 1.0) (u 0.0 1.0))
+  in
+  let s = Median.solve ps in
+  certified "near-vertex 65535" ps s;
+  bounded_work "near-vertex 65535" s
+
+let solve_vertex_off_start () =
+  (* Twelve copies of one request outweigh the other eight, so it is the
+     median, but the centroid is nearest to another request: the vertex
+     test fails there, and the request is found only after the iterate
+     moves, then returned bitwise with gap 0. *)
+  let p = Vec.make2 0.0 0.0 in
+  let far =
+    [| Vec.make2 100.0 (-10.0); Vec.make2 100.0 10.0; Vec.make2 110.0 0.0;
+       Vec.make2 90.0 0.0; Vec.make2 100.0 (-5.0); Vec.make2 100.0 5.0;
+       Vec.make2 105.0 2.0 |]
+  in
+  let ps =
+    Array.concat
+      [ Array.init 12 (fun _ -> Vec.copy p); far; [| Vec.make2 35.0 0.5 |] ]
+  in
+  let s = Median.solve ps in
+  if not (bits_equal s.Median.point p) then
+    Alcotest.failf "heavy request not returned exactly: %s"
+      (Vec.to_string s.Median.point);
+  if s.Median.iterations = 0 then
+    Alcotest.fail "vertex found at the start: the case no longer moves";
+  check_float "zero gap" 0.0 s.Median.gap;
+  bounded_work "vertex off start" s
 
 (* --- Median: center ------------------------------------------------ *)
 
@@ -440,6 +496,10 @@ let () =
           Alcotest.test_case "1e150 and 1e-150" `Quick solve_extreme_scales;
           Alcotest.test_case "d = 3" `Quick solve_three_dimensions;
           Alcotest.test_case "65535 requests" `Quick solve_max_request_round;
+          Alcotest.test_case "65535 requests, near vertex" `Quick
+            solve_max_request_near_vertex;
+          Alcotest.test_case "vertex away from the start" `Quick
+            solve_vertex_off_start;
         ] );
       ( "center",
         [

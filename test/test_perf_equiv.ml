@@ -304,7 +304,7 @@ let reference_weiszfeld ~eps ~max_iter points =
   !y
 
 (* Relative slack of the objective comparison: a few ulps of a sum of
-   at most 16 distances. *)
+   at most 48 distances. *)
 let cost_slack = 1e-14
 
 let pointsnd =
@@ -313,7 +313,7 @@ let pointsnd =
       String.concat "; " (Array.to_list (Array.map Vec.to_string ps)))
     QCheck.Gen.(
       int_range 2 4 >>= fun d ->
-      int_range 3 16 >>= fun n ->
+      int_range 3 48 >>= fun n ->
       array_size (return n) (array_size (return d) (float_range (-100.) 100.)))
 
 let qcheck_certified_dominates_reference =
@@ -336,6 +336,33 @@ let qcheck_certified_dominates_reference =
         QCheck.Test.fail_reportf "lower bound %.17g above the reference %.17g"
           (f -. s.Median.gap) reference
       else true)
+
+let closed_forms_certified () =
+  (* The 1-D, single-point and collinear inputs skip the iteration; their
+     answers carry the same certificate and must match the reference. *)
+  List.iter
+    (fun (name, ps) ->
+      let s = Median.solve ps in
+      let f = Median.cost s.Median.point ps in
+      let reference =
+        Median.cost (reference_weiszfeld ~eps:1e-12 ~max_iter:5000 ps) ps
+      in
+      if f > reference *. (1.0 +. cost_slack) then
+        Alcotest.failf "%s: cost %.17g above the reference %.17g" name f
+          reference;
+      if s.Median.gap > 1e-12 *. f then
+        Alcotest.failf "%s: gap %g above 1e-12 * cost %g" name s.Median.gap f;
+      Alcotest.(check int) (name ^ ": no passes") 0 s.Median.passes)
+    [ ("n = 1", [| Vec.make2 3.5 (-1.25) |]);
+      ("1-D odd", [| [| 4.0 |]; [| -1.5 |]; [| 0.25 |]; [| 9.0 |]; [| 2.0 |] |]);
+      ("1-D even", [| [| 4.0 |]; [| -1.5 |]; [| 0.25 |]; [| 9.0 |] |]);
+      ("collinear n = 3",
+       [| Vec.make2 0.0 1.0; Vec.make2 3.0 7.0; Vec.make2 1.1 3.2 |]);
+      ("collinear n = 4",
+       [| Vec.make2 (-2.0) 1.0; Vec.make2 4.0 (-2.0); Vec.make2 0.0 0.0;
+          Vec.make2 10.0 (-5.0) |]);
+      ("collinear 3-D",
+       [| [| 1.0; 2.0; 3.0 |]; [| 2.0; 4.0; 6.0 |]; [| -1.0; -2.0; -3.0 |] |]) ]
 
 let certified_near_vertex_quadrilateral () =
   (* The optimum sits just off the last request (the resultant there
@@ -488,6 +515,8 @@ let () =
       ( "certified",
         Alcotest.test_case "near-vertex quadrilateral" `Quick
           certified_near_vertex_quadrilateral
+        :: Alcotest.test_case "closed forms: gap and cost" `Quick
+          closed_forms_certified
         :: List.map QCheck_alcotest.to_alcotest
              [ qcheck_certified_dominates_reference ] );
       ( "golden",
